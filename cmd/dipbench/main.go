@@ -25,9 +25,7 @@
 //	-fault-rate p deterministic fault injection probability per external call
 //	-fault-seed n fault plan seed (defaults to -seed)
 //	-chaos-verify verify the integrated data against a fault-free twin run
-//	-incremental s    force delta-driven C/D maintenance on|off (default: engine preset)
 //	-columnar s       force vectorized columnar kernels on|off (default: engine preset)
-//	-recompute-verify verify the integrated data against a full-recompute twin run
 //	-shards n         partition the engine into n region shards, 0..3 (default 0: unsharded)
 //	-shard-verify     verify the integrated data against an unsharded twin run
 //	-mv-check n       recompute every OrdersMV from scratch every n periods
@@ -85,9 +83,7 @@ func main() {
 		fltRate = flag.Float64("fault-rate", 0, "deterministic fault injection probability per external call (0 disables)")
 		fltSeed = flag.Uint64("fault-seed", 0, "fault plan seed (defaults to -seed)")
 		chaos   = flag.Bool("chaos-verify", false, "after a faulty run, verify the integrated data against a fault-free twin run")
-		incr    = flag.String("incremental", "", "force delta-driven C/D maintenance: on|off (default: engine preset)")
 		colr    = flag.String("columnar", "", "force vectorized columnar kernels: on|off (default: engine preset)")
-		recomp  = flag.Bool("recompute-verify", false, "verify the integrated data against a full-recompute twin run")
 		shards  = flag.Int("shards", 0, "partition the engine into n region shards (0 = unsharded, max 3)")
 		shardV  = flag.Bool("shard-verify", false, "verify the integrated data against an unsharded twin run")
 		mvEvery = flag.Int("mv-check", 0, "recompute every OrdersMV from scratch every n periods and abort on divergence (0 disables)")
@@ -190,9 +186,7 @@ func main() {
 		FaultRate:       *fltRate,
 		FaultSeed:       *fltSeed,
 		ChaosVerify:     *chaos,
-		Incremental:     *incr,
 		Columnar:        *colr,
-		RecomputeVerify: *recomp,
 		Shards:          *shards,
 		ShardVerify:     *shardV,
 		MVCheckEvery:    *mvEvery,
@@ -288,13 +282,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.Chaos)
 		if !res.Chaos.OK() {
-			defer os.Exit(1)
-		}
-	}
-	if res.Recompute != nil {
-		fmt.Println()
-		fmt.Print(res.Recompute)
-		if !res.Recompute.OK() {
 			defer os.Exit(1)
 		}
 	}

@@ -39,13 +39,12 @@ type FenceGuard interface {
 // Meta keys a checkpoint to one run configuration. Any mismatch between
 // the manifest's Meta and the resuming process's Meta aborts recovery.
 type Meta struct {
-	Seed        int64   `json:"seed"`
-	Datasize    float64 `json:"datasize"`
-	TimeScale   float64 `json:"time_scale"`
-	Dist        string  `json:"dist"`
-	Engine      string  `json:"engine"`
-	Periods     int     `json:"periods"`
-	Incremental bool    `json:"incremental"`
+	Seed      int64   `json:"seed"`
+	Datasize  float64 `json:"datasize"`
+	TimeScale float64 `json:"time_scale"`
+	Dist      string  `json:"dist"`
+	Engine    string  `json:"engine"`
+	Periods   int     `json:"periods"`
 	// Shards is the engine's region-shard count (0 = unsharded). The
 	// snapshot carries per-shard engine state, so a run with a different
 	// shard count has nowhere to restore it.

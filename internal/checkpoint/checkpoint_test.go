@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var testMeta = Meta{Seed: 42, Datasize: 0.02, TimeScale: 1, Dist: "uniform", Engine: "pipeline", Periods: 3, Incremental: true}
+var testMeta = Meta{Seed: 42, Datasize: 0.02, TimeScale: 1, Dist: "uniform", Engine: "pipeline", Periods: 3}
 
 func TestCommitLatestReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()

@@ -2,14 +2,31 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/driver"
 )
+
+// runSnapshot executes one benchmark and returns the canonical snapshot
+// of its integrated systems.
+func runSnapshot(t *testing.T, cfg Config) (string, *Result) {
+	t.Helper()
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	res, err := b.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return driver.SnapshotIntegrated(b.Scenario()), res
+}
 
 // The columnar execution layout must be invisible in the data: every run
 // with `-columnar on` must leave the warehouse, the OrdersMV views and
 // all three data marts byte-identical to the same run on the row kernels.
 // These tests pin that end to end — in-process and across the remote
-// transport — and prove the toggle composes with fault injection and
-// incremental maintenance.
+// transport — and prove the toggle composes with fault injection.
 
 // TestColumnarMatchesRow is the tentpole acceptance criterion: a
 // multi-period optimized-engine run on the vectorized columnar kernels
@@ -52,23 +69,19 @@ func TestColumnarMatchesRowRemote(t *testing.T) {
 	}
 }
 
-// TestColumnarComposesWithChaosAndIncremental proves the three optimizer
-// toggles stack: a faulty run on columnar kernels with incremental
-// maintenance must still pass both built-in twin verifications — the
-// fault-free twin (chaos) and the full-recompute twin, each of which
-// inherits Columnar "on" and so exercises the vectorized path too.
-func TestColumnarComposesWithChaosAndIncremental(t *testing.T) {
+// TestColumnarComposesWithChaos proves the toggles stack: a faulty run
+// on columnar kernels must still pass the built-in fault-free twin
+// verification, whose twin inherits Columnar "on" and so exercises the
+// vectorized path too.
+func TestColumnarComposesWithChaos(t *testing.T) {
 	cfg := Config{
 		Datasize: 0.004, Periods: 2, Seed: 11, FastClock: true,
-		Engine: EnginePipeline, Columnar: "on", Incremental: "on",
-		FaultRate: 0.05, ChaosVerify: true, RecomputeVerify: true,
+		Engine: EnginePipeline, Columnar: "on",
+		FaultRate: 0.05, ChaosVerify: true,
 	}
 	_, res := runSnapshot(t, cfg)
 	if res.Chaos == nil || !res.Chaos.OK() {
 		t.Fatalf("chaos twin failed under columnar execution:\n%v", res.Chaos)
-	}
-	if res.Recompute == nil || !res.Recompute.OK() {
-		t.Fatalf("recompute twin failed under columnar execution:\n%v", res.Recompute)
 	}
 }
 

@@ -119,11 +119,6 @@ type Config struct {
 	// invisible in the warehouse and marts.
 	ChaosVerify bool
 
-	// Incremental overrides the engine preset's incremental-maintenance
-	// default: "on" forces the delta-driven group C/D variants, "off"
-	// forces full re-extraction, "" keeps the preset (off for federated,
-	// on for the optimized engines).
-	Incremental string
 	// Columnar overrides the engine preset's execution-layout default:
 	// "on" forces the vectorized columnar kernels for eligible dataset
 	// operators, "off" forces the row kernels, "" keeps the preset (off
@@ -142,16 +137,9 @@ type Config struct {
 	// views and marts. Requires Shards > 0.
 	ShardVerify bool
 	// MVCheckEvery > 0 recomputes every OrdersMV from scratch every N-th
-	// period and aborts on any divergence from the stored (possibly
-	// incrementally maintained) view. Verify implies MVCheckEvery=1 when
-	// unset.
+	// period and aborts on any divergence from the stored view. Verify
+	// implies MVCheckEvery=1 when unset.
 	MVCheckEvery int
-	// RecomputeVerify, after a successful run with incremental
-	// maintenance, executes a full-recompute twin of the same
-	// configuration (incremental forced off) and asserts the integrated
-	// data is byte-identical — delta maintenance must be invisible in the
-	// warehouse, views and marts.
-	RecomputeVerify bool
 
 	// WALDir enables crash-consistent checkpointing: the write-ahead log
 	// and periodic state snapshots live in this directory. Empty disables
@@ -282,15 +270,6 @@ func New(cfg Config) (*Benchmark, error) {
 		_ = scn.Close()
 		return nil, err
 	}
-	switch cfg.Incremental {
-	case "":
-	case "on":
-		eng.SetIncremental(true)
-	case "off":
-		eng.SetIncremental(false)
-	default:
-		return fail(fmt.Errorf("core: Incremental must be \"\", \"on\" or \"off\", got %q", cfg.Incremental))
-	}
 	switch cfg.Columnar {
 	case "":
 	case "on":
@@ -337,8 +316,8 @@ func New(cfg Config) (*Benchmark, error) {
 	if cfg.Resilience != nil && eng.Resilient() == nil {
 		eng.SetResilience(cfg.Resilience, mon.Resilience())
 	}
-	// Sharding partitions the fully configured engine (incremental,
-	// columnar and resilience settings propagate into the shard children at
+	// Sharding partitions the fully configured engine (columnar and
+	// resilience settings propagate into the shard children at
 	// creation) and must precede the durability layer so a resume restores
 	// into the sharded shape.
 	if cfg.Shards < 0 {
@@ -453,9 +432,6 @@ type Result struct {
 	// Chaos is the fault-transparency verification against the fault-free
 	// twin run (nil unless Config.ChaosVerify).
 	Chaos *driver.VerificationResult
-	// Recompute is the incremental-transparency verification against the
-	// full-recompute twin run (nil unless Config.RecomputeVerify).
-	Recompute *driver.VerificationResult
 	// Shard is the shard-transparency verification against the unsharded
 	// twin run (nil unless Config.ShardVerify).
 	Shard *driver.VerificationResult
@@ -495,13 +471,6 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("core: chaos twin run: %w", cerr)
 		}
 		res.Chaos = chaos
-	}
-	if b.cfg.RecomputeVerify {
-		rv, rerr := b.runRecomputeTwin(ctx)
-		if rerr != nil {
-			return nil, fmt.Errorf("core: recompute twin run: %w", rerr)
-		}
-		res.Recompute = rv
 	}
 	if b.cfg.ShardVerify {
 		sv, serr := b.runShardTwin(ctx)
@@ -543,44 +512,9 @@ func (b *Benchmark) runChaosTwin(ctx context.Context) (*driver.VerificationResul
 	return driver.VerifyChaos(b.scn, twin.scn), nil
 }
 
-// runRecomputeTwin executes a full-recompute twin of this benchmark's
-// configuration — same seed, scale, engine, periods, but incremental
-// maintenance forced off and no fault injection — and compares the
-// integrated data of both runs. Delta-driven maintenance is only correct
-// when it is invisible in the data.
-func (b *Benchmark) runRecomputeTwin(ctx context.Context) (*driver.VerificationResult, error) {
-	twinCfg := b.cfg
-	twinCfg.Incremental = "off"
-	twinCfg.RecomputeVerify = false
-	twinCfg.ChaosVerify = false
-	twinCfg.FaultRate = 0
-	twinCfg.FaultSeed = 0
-	twinCfg.Resilience = nil
-	twinCfg.FastClock = true
-	twinCfg.Verify = false
-	twinCfg.MVCheckEvery = 0
-	twinCfg.Trace = false
-	twinCfg.OnPeriod = nil
-	twinCfg.DrainCheck = nil
-	twinCfg.WALDir = ""
-	twinCfg.Fence = nil
-	twinCfg.CheckpointEvery = 0
-	twinCfg.Resume = false
-	twinCfg.CrashAt = ""
-	twin, err := New(twinCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer twin.Close()
-	if _, err := twin.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return driver.VerifyTwin("recompute", "identical to full-recompute run", b.scn, twin.scn), nil
-}
-
 // runShardTwin executes an unsharded twin of this benchmark's
-// configuration — same seed, scale, engine, periods, maintenance mode and
-// layout, but Shards forced to 0 and no fault injection — and compares
+// configuration — same seed, scale, engine, periods and layout, but
+// Shards forced to 0 and no fault injection — and compares
 // the integrated data of both runs. Region sharding is only correct when
 // the shard count is invisible in the data.
 func (b *Benchmark) runShardTwin(ctx context.Context) (*driver.VerificationResult, error) {
@@ -588,7 +522,6 @@ func (b *Benchmark) runShardTwin(ctx context.Context) (*driver.VerificationResul
 	twinCfg.Shards = 0
 	twinCfg.ShardVerify = false
 	twinCfg.ChaosVerify = false
-	twinCfg.RecomputeVerify = false
 	twinCfg.FaultRate = 0
 	twinCfg.FaultSeed = 0
 	twinCfg.Resilience = nil

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/wal"
 )
@@ -152,6 +155,79 @@ func TestSparseCheckpointDedupAccounting(t *testing.T) {
 	replayed, dedup, _ := rb.Monitor().Recovery().Totals()
 	if dedup != 74 {
 		t.Fatalf("dedup hits: %d, want 74 (replayed %d records)", dedup, replayed)
+	}
+}
+
+// TestRecoveryReadsRetiredWatermarkRecords resumes from a WAL whose
+// suffix also carries records of the retired extraction-watermark type
+// (slot 5), as logs of the incremental-maintenance engines did: one
+// before every record. Recovery must skip them, still see every ack as
+// an ack, and converge on the uninterrupted run's state.
+func TestRecoveryReadsRetiredWatermarkRecords(t *testing.T) {
+	cfg := recoveryConfig("", EngineFederated)
+	cfg.CheckpointEvery = 2
+	want := cleanDigest(t, cfg)
+	cfg.WALDir = filepath.Join(t.TempDir(), "ckpt")
+	crash := cfg
+	crash.CrashAt = "2:C:1"
+	b, err := New(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := b.Run()
+	_ = b.Close()
+	if !errors.Is(runErr, fault.ErrCrash) {
+		t.Fatal(runErr)
+	}
+
+	// Rewrite the suffix after the checkpoint's WAL offset.
+	man, err := checkpoint.ReadManifest(cfg.WALDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.WALDir, man.WALFile())
+	recs, _, _, err := wal.ReadAll(path, man.WALOffset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, man.WALOffset); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.OpenAppend(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		key := fmt.Sprintf("CDB.Orders#%d", i)
+		mark := binary.AppendUvarint(nil, uint64(len(key)))
+		mark = binary.AppendUvarint(append(mark, key...), uint64(1000+i))
+		if _, err := w.Append(wal.Type(5), mark); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(r.Type, r.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := cfg
+	resume.Resume = true
+	rb, err := New(resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	if _, err := rb.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.StateDigest(); got != want {
+		t.Fatalf("recovery over watermark records diverged:\n  recovered %s\n  clean     %s", got, want)
+	}
+	// The same 74 acks as TestSparseCheckpointDedupAccounting.
+	if _, dedup, _ := rb.Monitor().Recovery().Totals(); dedup != 74 {
+		t.Fatalf("dedup hits: %d, want 74", dedup)
 	}
 }
 
@@ -313,8 +389,8 @@ func BenchmarkPeriodWALOff(b *testing.B) {
 	benchmarkPeriods(b, nil, 0)
 }
 
-// BenchmarkPeriodWALOn isolates the log itself: every dispatch, ack,
-// watermark and barrier is appended and fsynced at stream barriers, but
+// BenchmarkPeriodWALOn isolates the log itself: every dispatch, ack and
+// barrier is appended and fsynced at stream barriers, but
 // no snapshot commits inside the run (CheckpointEvery far beyond the
 // period count). This is the overhead WAL-on adds to stream throughput.
 func BenchmarkPeriodWALOn(b *testing.B) {

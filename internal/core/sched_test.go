@@ -22,19 +22,18 @@ import (
 // tests pin that across the optimization toggles and both transports.
 
 // schedTwinVariant is one cell of the toggle matrix the bit-identity
-// contract is pinned on: delta-driven maintenance, vectorized kernels,
-// and region sharding (where shard children inherit the parent handle).
+// contract is pinned on: row kernels, vectorized kernels, and region
+// sharding (where shard children inherit the parent handle).
 type schedTwinVariant struct {
-	name        string
-	incremental string
-	columnar    string
-	shards      int
+	name     string
+	columnar string
+	shards   int
 }
 
 var schedTwinVariants = []schedTwinVariant{
-	{"incremental", "on", "off", 0},
-	{"columnar", "off", "on", 0},
-	{"sharded", "on", "on", 2},
+	{"row", "off", 0},
+	{"columnar", "on", 0},
+	{"sharded", "on", 2},
 }
 
 func schedTwinConfig(v schedTwinVariant, remote bool) Config {
@@ -45,7 +44,7 @@ func schedTwinConfig(v schedTwinVariant, remote bool) Config {
 		// would otherwise leave the presets sequential and the twin
 		// comparison vacuous.
 		EngineOptions: &engine.Options{PlanCache: true, Parallelism: 4},
-		Incremental:   v.incremental, Columnar: v.columnar, Shards: v.shards,
+		Columnar:      v.columnar, Shards: v.shards,
 	}
 }
 

@@ -14,9 +14,6 @@
 //	/db/<instance>/update   <Update table="T" where="...">
 //	                          <Set col="C" type="BIGINT">42</Set>...    -> <Affected n=""/>
 //	/db/<instance>/call     <Call proc="P"><Arg type="...">v</Arg>...   -> ResultSet
-//	/db/<instance>/querysince <QuerySince table="T" since="12"/>        -> Delta
-//	                          (Delta = from/to/reset attrs + inserts/
-//	                           updates/deletes ResultSets)
 //	/db/<instance>/snapshot <Snapshot/>           -> <Snapshot enc="base64">blob</Snapshot>
 //	/db/<instance>/restore  <Restore enc="base64">blob</Restore>        -> <Affected n=""/>
 //	                        (blob = relational snapshot codec, used by
@@ -196,8 +193,6 @@ func (r *Remote) dispatch(w http.ResponseWriter, req *http.Request) {
 	switch parts[2] {
 	case "query":
 		result, err = handleQuery(conn, doc)
-	case "querysince":
-		result, err = handleQuerySince(conn, doc)
 	case "insert":
 		result, err = handleLoad(conn, doc, false)
 	case "upsert":
@@ -253,78 +248,6 @@ func handleQuery(conn *rel.Conn, doc *x.Node) (*x.Node, error) {
 		return nil, err
 	}
 	return x.FromRelation(doc.Attr("table"), relation), nil
-}
-
-func handleQuerySince(conn *rel.Conn, doc *x.Node) (*x.Node, error) {
-	if doc.Name != "QuerySince" {
-		return nil, fmt.Errorf("dbproto: querysince expects a QuerySince document")
-	}
-	since, err := strconv.ParseUint(doc.Attr("since"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: querysince: bad since attribute: %w", err)
-	}
-	d, err := conn.QuerySince(doc.Attr("table"), since)
-	if err != nil {
-		return nil, err
-	}
-	return encodeDelta(d), nil
-}
-
-// encodeDelta renders a net change set as a Delta document carrying one
-// result set per image class. Values travel in the exact textual form
-// String/ParseValue round-trip, so deltas stay bit-identical across the
-// wire.
-func encodeDelta(d *rel.Delta) *x.Node {
-	doc := x.New("Delta").
-		SetAttr("table", d.Table).
-		SetAttr("from", strconv.FormatUint(d.From, 10)).
-		SetAttr("to", strconv.FormatUint(d.To, 10))
-	if d.Reset {
-		doc.SetAttr("reset", "true")
-	}
-	doc.Add(x.FromRelation("inserts", d.Inserts))
-	doc.Add(x.FromRelation("updates", d.Updates))
-	doc.Add(x.FromRelation("deletes", d.Deletes))
-	return doc
-}
-
-// decodeDelta parses a Delta document back into a rel.Delta.
-func decodeDelta(doc *x.Node) (*rel.Delta, error) {
-	if doc.Name != "Delta" {
-		return nil, fmt.Errorf("dbproto: unexpected response %s", doc.Name)
-	}
-	from, err := strconv.ParseUint(doc.Attr("from"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: delta from: %w", err)
-	}
-	to, err := strconv.ParseUint(doc.Attr("to"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: delta to: %w", err)
-	}
-	d := &rel.Delta{
-		Table: doc.Attr("table"), From: from, To: to,
-		Reset: doc.Attr("reset") == "true",
-	}
-	for _, rs := range doc.ChildrenNamed("ResultSet") {
-		r, err := x.ToRelation(rs)
-		if err != nil {
-			return nil, err
-		}
-		switch rs.Attr("name") {
-		case "inserts":
-			d.Inserts = r
-		case "updates":
-			d.Updates = r
-		case "deletes":
-			d.Deletes = r
-		default:
-			return nil, fmt.Errorf("dbproto: delta with unknown result set %q", rs.Attr("name"))
-		}
-	}
-	if d.Inserts == nil || d.Updates == nil || d.Deletes == nil {
-		return nil, fmt.Errorf("dbproto: incomplete delta document")
-	}
-	return d, nil
 }
 
 func handleLoad(conn *rel.Conn, doc *x.Node, upsert bool) (*x.Node, error) {
@@ -497,9 +420,10 @@ type Client struct {
 }
 
 // NewClient creates a protocol client for one database instance.
-func NewClient(baseURL, instance string) *Client {
+// Requests go through rt; nil means http.DefaultTransport.
+func NewClient(baseURL, instance string, rt http.RoundTripper) *Client {
 	return &Client{baseURL: baseURL, instance: instance,
-		http: &http.Client{Timeout: 60 * time.Second}}
+		http: &http.Client{Transport: rt, Timeout: 60 * time.Second}}
 }
 
 // post sends a document under the context and parses the XML response.
@@ -551,25 +475,6 @@ func (c *Client) QueryContext(ctx context.Context, table string, pred rel.Predic
 // Query is QueryContext under context.Background.
 func (c *Client) Query(table string, pred rel.Predicate) (*rel.Relation, error) {
 	return c.QueryContext(context.Background(), table, pred)
-}
-
-// QuerySinceContext reads the net changes of a table after a watermark.
-// An unserveable watermark comes back as a Reset delta with a full
-// snapshot, mirroring Conn.QuerySince.
-func (c *Client) QuerySinceContext(ctx context.Context, table string, since uint64) (*rel.Delta, error) {
-	q := x.New("QuerySince").
-		SetAttr("table", table).
-		SetAttr("since", strconv.FormatUint(since, 10))
-	doc, err := c.post(ctx, "querysince", q)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDelta(doc)
-}
-
-// QuerySince is QuerySinceContext under context.Background.
-func (c *Client) QuerySince(table string, since uint64) (*rel.Delta, error) {
-	return c.QuerySinceContext(context.Background(), table, since)
 }
 
 // InsertContext appends the relation to the table.

@@ -21,7 +21,7 @@ func startRemote(t *testing.T) (*Remote, *rel.Database, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = remote.Close() })
-	return remote, db, NewClient(remote.BaseURL(), "CDB")
+	return remote, db, NewClient(remote.BaseURL(), "CDB", nil)
 }
 
 func sampleRelation() *rel.Relation {
@@ -38,7 +38,7 @@ func sampleRelation() *rel.Relation {
 }
 
 func TestInsertAndQueryRoundTrip(t *testing.T) {
-	_, _, c := startRemote(t)
+	_, db, c := startRemote(t)
 	if err := c.Insert("Orders", sampleRelation()); err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +61,19 @@ func TestInsertAndQueryRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("row 3 missing")
+	}
+	// Float bits survive the wire exactly (0.1+0.2 != 0.3 in binary).
+	if err := db.MustTable("Orders").Insert(rel.Row{
+		rel.NewInt(4), rel.NewString("OPEN"), rel.NewFloat(0.1 + 0.2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query("Orders", rel.ColEq("Ordkey", rel.NewInt(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 || got.Get(0, "Total").Float() != 0.1+0.2 {
+		t.Fatalf("float bits lost: %v", got)
 	}
 }
 
@@ -155,7 +168,7 @@ func TestTimestampRoundTrip(t *testing.T) {
 		rel.Col("ID", rel.TypeInt), rel.Col("At", rel.TypeTime),
 	}, "ID")
 	db.MustCreateTable("Events", s)
-	c := NewClient(remote.BaseURL(), "CDB")
+	c := NewClient(remote.BaseURL(), "CDB", nil)
 	ts := time.Date(2008, 4, 7, 12, 30, 45, 123456789, time.UTC)
 	in := rel.MustRelation(s, []rel.Row{{rel.NewInt(1), rel.NewTime(ts)}})
 	if err := c.Insert("Events", in); err != nil {
@@ -175,7 +188,7 @@ func TestProtocolErrors(t *testing.T) {
 	if _, err := c.Query("NoTable", nil); err == nil {
 		t.Error("missing table")
 	}
-	if _, err := NewClient(remote.BaseURL(), "Atlantis").Query("T", nil); err == nil {
+	if _, err := NewClient(remote.BaseURL(), "Atlantis", nil).Query("T", nil); err == nil {
 		t.Error("missing instance")
 	}
 	// Malformed request documents.
@@ -204,61 +217,5 @@ func TestProtocolErrors(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown op: %d", resp.StatusCode)
-	}
-}
-
-func TestQuerySinceOverTheWire(t *testing.T) {
-	_, db, c := startRemote(t)
-	if err := c.Insert("Orders", sampleRelation()); err != nil {
-		t.Fatal(err)
-	}
-	w := db.MustTable("Orders").Version()
-
-	// Mutations after the watermark: one insert, one update, one delete.
-	if err := db.MustTable("Orders").Insert(rel.Row{
-		rel.NewInt(4), rel.NewString("OPEN"), rel.NewFloat(0.1 + 0.2),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Update("Orders", rel.ColEq("Ordkey", rel.NewInt(1)),
-		map[string]rel.Value{"Status": rel.NewString("SHIPPED")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Delete("Orders", rel.ColEq("Ordkey", rel.NewInt(2))); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := c.QuerySince("Orders", w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Reset {
-		t.Fatal("expected an incremental delta")
-	}
-	if d.From != w || d.To != db.MustTable("Orders").Version() {
-		t.Fatalf("delta range [%d,%d]", d.From, d.To)
-	}
-	if d.Inserts.Len() != 1 || d.Inserts.Get(0, "Ordkey").Int() != 4 {
-		t.Fatalf("inserts: %v", d.Inserts)
-	}
-	// Float bits survive the wire exactly (0.1+0.2 != 0.3 in binary).
-	if got := d.Inserts.Get(0, "Total").Float(); got != 0.1+0.2 {
-		t.Fatalf("float bits lost: %v", got)
-	}
-	if d.Updates.Len() != 1 || d.Updates.Get(0, "Status").Str() != "SHIPPED" {
-		t.Fatalf("updates: %v", d.Updates)
-	}
-	if d.Deletes.Len() != 1 || d.Deletes.Get(0, "Ordkey").Int() != 2 {
-		t.Fatalf("deletes: %v", d.Deletes)
-	}
-
-	// A truncated table refuses the stale watermark with a full reset.
-	db.MustTable("Orders").Truncate()
-	d2, err := c.QuerySince("Orders", d.To)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Reset || d2.Inserts.Len() != 0 {
-		t.Fatalf("post-truncate delta: %+v", d2)
 	}
 }

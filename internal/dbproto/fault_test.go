@@ -66,7 +66,7 @@ func TestStoreFaultMapsTo503(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	c := NewClient(remote.BaseURL(), "CDB")
+	c := NewClient(remote.BaseURL(), "CDB", nil)
 	srv.SetCallHook(func(caller, instance, op, table string) error {
 		return &fault.TransientError{Endpoint: "es/" + instance, Msg: "injected store fault"}
 	})

@@ -30,7 +30,7 @@ func TestRemoteSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	client := NewClient(remote.BaseURL(), "dwh")
+	client := NewClient(remote.BaseURL(), "dwh", nil)
 
 	blob, err := client.Snapshot()
 	if err != nil {

@@ -39,8 +39,7 @@ type Config struct {
 	OnPeriod func(k int, s PeriodStats)
 	// MVCheckEvery > 0 verifies every N-th period (after its streams
 	// complete) that each stored OrdersMV equals a from-scratch recompute
-	// of the view — the guard rail for incremental maintenance. A
-	// mismatch aborts the run.
+	// of the view. A mismatch aborts the run.
 	MVCheckEvery int
 	// Log, when non-nil, observes dispatches, acknowledgements and
 	// barriers for crash recovery (the WAL tap). The first log error
@@ -145,6 +144,13 @@ func (c *Client) Run() (*RunStats, error) {
 func (c *Client) RunContext(ctx context.Context) (*RunStats, error) {
 	start := time.Now()
 	stats := &RunStats{}
+	// The dispatches a cancellation cut short leave their keep-alive
+	// connections idle, each pinning client and server goroutines.
+	defer func() {
+		if ctx.Err() != nil {
+			c.s.CloseIdleConnections()
+		}
+	}()
 
 	// Resume baseline: the checkpoint's cumulative statistics seed the
 	// run totals, and the first period may restart mid-period at the

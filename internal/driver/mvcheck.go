@@ -10,12 +10,10 @@ import (
 	"repro/internal/schema"
 )
 
-// Materialized-view verification: a stored OrdersMV — possibly maintained
-// incrementally across many refreshes — must equal the view recomputed
-// from scratch off the current fact table. The check renders both sides
-// canonically (rows sorted), so it is insensitive to physical row order
-// but exact on every value, including the float sums: the incremental
-// fold is designed to replay the recompute's IEEE operation sequence.
+// Materialized-view verification: a stored OrdersMV must equal the view
+// recomputed from scratch off the current fact table. The check renders
+// both sides canonically (rows sorted), so it is insensitive to physical
+// row order but exact on every value, including the float sums.
 
 // mvSystems are the systems carrying an OrdersMV.
 func mvSystems() []string {
@@ -48,7 +46,7 @@ func VerifyMV(s *scenario.Scenario) *VerificationResult {
 			v.Checks = append(v.Checks, Check{Name: name, OK: false, Info: "system missing"})
 			continue
 		}
-		model, _, err := scenario.ComputeOrdersMV(db)
+		model, err := scenario.ComputeOrdersMV(db)
 		if err != nil {
 			v.Checks = append(v.Checks, Check{Name: name, OK: false, Info: err.Error()})
 			continue

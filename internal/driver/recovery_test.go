@@ -154,14 +154,22 @@ func TestCancelDuringBarrierNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+3 {
-			return
+	for runtime.NumGoroutine() > before+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	// No connection of the cancelled run may hold the servers' graceful
+	// shutdown.
+	start := time.Now()
+	if err := r.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("scenario Close took %v after a cancelled run", d)
+	}
 }
 
 // TestBarrierErrorAbortsRun: a recovery log that cannot persist must

@@ -15,10 +15,10 @@ import (
 
 // shardController realizes engine.Options.Shards: the parent engine keeps
 // the public Execute surface and owns N child engines, one per shard. Each
-// child has its own worker pool, plan cache and extraction-watermark store
-// (its own monitor ledger partition comes from the shard id stamped on its
-// records); the process definitions, the external gateway (including the
-// resilience wrapper) and the monitor are shared.
+// child has its own worker pool and plan cache (its own monitor ledger
+// partition comes from the shard id stamped on its records); the process
+// definitions, the external gateway (including the resilience wrapper)
+// and the monitor are shared.
 //
 // Routing:
 //   - group A/B processes (P01..P11) belong to exactly one business region
@@ -54,8 +54,8 @@ type shardController struct {
 }
 
 // SetShards partitions the engine into n region shards (1 <= n <=
-// len(schema.Regions)). Call after SetResilience/SetIncremental/
-// SetColumnar and before the first Execute: the children are created with
+// len(schema.Regions)). Call after SetResilience/SetColumnar and before
+// the first Execute: the children are created with
 // the engine's effective options and gateway. n <= 0 is a no-op (the
 // engine stays unsharded). Re-sharding an already sharded engine is an
 // error.
@@ -92,19 +92,18 @@ func (e *Engine) SetShards(n int) error {
 	for i, region := range schema.Regions {
 		sc.owner[region] = i % n
 	}
-	incremental := e.opts.Incremental
 	emit := sc.put
 	for _, base := range []string{"P12", "P13", "P14", "P15"} {
 		sc.regionProcs[base] = make(map[string]*mtm.Process, len(schema.Regions))
 	}
 	for _, region := range schema.Regions {
 		sc.regionProcs["P12"][region] = processes.NewP12RegionExtract(region, emit)
-		sc.regionProcs["P13"][region] = processes.NewP13RegionExtract(region, incremental, emit)
-		p14, err := processes.NewP14Region(region, incremental)
+		sc.regionProcs["P13"][region] = processes.NewP13RegionExtract(region, emit)
+		p14, err := processes.NewP14Region(region)
 		if err != nil {
 			return err
 		}
-		p15, err := processes.NewP15Region(region, incremental)
+		p15, err := processes.NewP15Region(region)
 		if err != nil {
 			return err
 		}
@@ -112,28 +111,10 @@ func (e *Engine) SetShards(n int) error {
 		sc.regionProcs["P15"][region] = p15
 	}
 	sc.coordP12 = processes.NewShardedP12(sc.scatter("P12", "cust_wh"))
-	sc.coordP13 = processes.NewShardedP13(incremental, sc.scatter("P13", "ord_wh", "line_wh"))
+	sc.coordP13 = processes.NewShardedP13(sc.scatter("P13", "ord_wh", "line_wh"))
 	e.shards = sc
 	e.opts.Shards = n
 	return nil
-}
-
-// rebuildVariants rebuilds the maintenance-mode-dependent shard processes
-// after a SetIncremental toggle. The children's plan caches key by process
-// id, so the rebuilt values must be installed before the first Execute
-// (the same contract SetIncremental already has).
-func (sc *shardController) rebuildVariants(incremental bool) {
-	emit := sc.put
-	for _, region := range schema.Regions {
-		sc.regionProcs["P13"][region] = processes.NewP13RegionExtract(region, incremental, emit)
-		if p14, err := processes.NewP14Region(region, incremental); err == nil {
-			sc.regionProcs["P14"][region] = p14
-		}
-		if p15, err := processes.NewP15Region(region, incremental); err == nil {
-			sc.regionProcs["P15"][region] = p15
-		}
-	}
-	sc.coordP13 = processes.NewShardedP13(incremental, sc.scatter("P13", "ord_wh", "line_wh"))
 }
 
 // ShardCount returns the number of region shards (0 when unsharded).

@@ -18,19 +18,17 @@ type DeadLetterState struct {
 
 // State is the engine's checkpointable state: everything that must
 // survive a crash beyond the external systems themselves. The internal
-// queue database (federated engines), the extraction watermarks
-// (incremental engines), the E1 queue sequence and the dead-letter queue
-// are all captured; plans, batchers and worker pools are pure caches
-// rebuilt on demand.
+// queue database (federated engines), the E1 queue sequence and the
+// dead-letter queue are all captured; plans, batchers and worker pools
+// are pure caches rebuilt on demand.
 type State struct {
 	QueueSeq    int64
-	Watermarks  map[string]uint64
 	DeadLetters []DeadLetterState
 	DLQDropped  uint64
 	Internal    []byte // relational snapshot of the queue tables
 	// Shards carries the region shards' states in shard order (empty for
-	// an unsharded engine). Each shard owns its own queue tables and
-	// extraction watermarks, so recovery must restore them individually.
+	// an unsharded engine). Each shard owns its own queue tables, so
+	// recovery must restore them individually.
 	Shards []*State
 }
 
@@ -39,9 +37,6 @@ type State struct {
 // flight.
 func (e *Engine) CheckpointState() (*State, error) {
 	st := &State{QueueSeq: e.queueSeq.Load()}
-	if e.wm != nil {
-		st.Watermarks = e.wm.export()
-	}
 	dlq, dropped := e.DeadLetters()
 	st.DLQDropped = dropped
 	for _, d := range dlq {
@@ -86,12 +81,6 @@ func (e *Engine) RestoreState(st *State) error {
 		return fmt.Errorf("engine: nil state")
 	}
 	e.queueSeq.Store(st.QueueSeq)
-	if st.Watermarks != nil {
-		if e.wm == nil {
-			e.wm = newWatermarkStore()
-		}
-		e.wm.replace(st.Watermarks)
-	}
 	e.dlqMu.Lock()
 	e.dlq = e.dlq[:0]
 	for _, d := range st.DeadLetters {
@@ -127,19 +116,6 @@ func (e *Engine) RestoreState(st *State) error {
 		}
 	}
 	return nil
-}
-
-// SetWatermarkSink installs a hook observing every watermark advance —
-// the WAL's durability tap. A no-op on engines without a watermark store.
-func (e *Engine) SetWatermarkSink(fn func(key string, version uint64)) {
-	if e.wm != nil {
-		e.wm.setSink(fn)
-	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			c.SetWatermarkSink(fn)
-		}
-	}
 }
 
 // Internal exposes the engine-internal queue database (read-only uses

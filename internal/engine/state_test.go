@@ -7,27 +7,7 @@ import (
 	"repro/internal/fault"
 )
 
-// TestSetIncrementalPreservesWatermarks pins the satellite fix: toggling
-// incremental off and back on must not discard advanced watermarks.
-func TestSetIncrementalPreservesWatermarks(t *testing.T) {
-	f := newFixture(t)
-	e := f.pipeline(t)
-	defer e.Close()
-	if e.wm == nil {
-		t.Fatal("pipeline preset must start with a watermark store")
-	}
-	e.wm.SetWatermark("CDB.Customers", 17)
-	e.SetIncremental(false)
-	if e.wm == nil || e.wm.Watermark("CDB.Customers") != 17 {
-		t.Fatal("SetIncremental(false) discarded watermarks")
-	}
-	e.SetIncremental(true)
-	if got := e.wm.Watermark("CDB.Customers"); got != 17 {
-		t.Fatalf("watermark after re-enable = %d, want 17", got)
-	}
-}
-
-// TestSetResilienceNoDoubleWrap pins the other satellite fix: repeated
+// TestSetResilienceNoDoubleWrap pins the wrapper replacement: repeated
 // SetResilience calls must replace the wrapper, not nest it.
 func TestSetResilienceNoDoubleWrap(t *testing.T) {
 	f := newFixture(t)
@@ -84,26 +64,6 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if len(dlq) != 1 || dropped != 0 || dlq[0].Err.Error() != "boom" {
 		t.Fatalf("dlq %+v dropped=%d", dlq, dropped)
 	}
-}
-
-func TestCheckpointStateWatermarks(t *testing.T) {
-	f := newFixture(t)
-	src := f.pipeline(t)
-	defer src.Close()
-	src.wm.SetWatermark("a", 1)
-	src.wm.SetWatermark("b", 9)
-	st, err := src.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := f.pipeline(t)
-	defer dst.Close()
-	if err := dst.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if dst.wm.Watermark("a") != 1 || dst.wm.Watermark("b") != 9 {
-		t.Fatal("watermarks not restored")
-	}
 	if err := dst.RestoreState(nil); err == nil {
 		t.Fatal("nil state must be rejected")
 	}
@@ -113,12 +73,6 @@ func TestDurabilitySinks(t *testing.T) {
 	f := newFixture(t)
 	e := f.pipeline(t)
 	defer e.Close()
-	var marks []string
-	e.SetWatermarkSink(func(key string, v uint64) { marks = append(marks, key) })
-	e.wm.SetWatermark("x", 3)
-	if len(marks) != 1 || marks[0] != "x" {
-		t.Fatalf("watermark sink saw %v", marks)
-	}
 	var letters []DeadLetter
 	e.SetDLQSink(func(d DeadLetter) { letters = append(letters, d) })
 	e.AddDeadLetter("P10", 1, nil, errors.New("gone"))

@@ -269,12 +269,6 @@ type external interface {
 	Send(ctx context.Context, system string, doc *x.Node) error
 }
 
-// deltaSource mirrors mtm.DeltaSource (see external above): the optional
-// incremental-extraction capability of a gateway.
-type deltaSource interface {
-	QuerySince(ctx context.Context, system, table string, since uint64) (*rel.Delta, error)
-}
-
 // NewResilient wraps the gateway. rec may be nil to discard the counters.
 func NewResilient(inner external, policy Policy, rec Recorder) *Resilient {
 	if rec == nil {
@@ -390,29 +384,6 @@ func (r *Resilient) Query(ctx context.Context, system, table string, pred rel.Pr
 	err := r.do(ctx, system, func(ctx context.Context) error {
 		var e error
 		out, e = r.inner.Query(ctx, system, table, pred)
-		return e
-	})
-	return out, err
-}
-
-// QuerySince implements mtm.DeltaSource under the resilience policy.
-// Delta reads are idempotent (the watermark only advances on success),
-// so retrying is safe. Wrapping a gateway without delta support degrades
-// to a resilient full query presented as a Reset delta.
-func (r *Resilient) QuerySince(ctx context.Context, system, table string, since uint64) (*rel.Delta, error) {
-	src, ok := r.inner.(deltaSource)
-	if !ok {
-		rl, err := r.Query(ctx, system, table, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &rel.Delta{Table: table, From: since, Reset: true,
-			Inserts: rl, Updates: rl.Empty(), Deletes: rl.Empty()}, nil
-	}
-	var out *rel.Delta
-	err := r.do(ctx, system, func(ctx context.Context) error {
-		var e error
-		out, e = src.QuerySince(ctx, system, table, since)
 		return e
 	})
 	return out, err

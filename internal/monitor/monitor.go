@@ -56,9 +56,8 @@ type Monitor struct {
 	opMu     sync.Mutex
 	opTotals map[opKey]*opCell // per (process, operator kind) aggregation
 
-	res *ResilienceStats  // retry/trip/DLQ audit of the resilience layer
-	inc *IncrementalStats // delta-extraction audit of incremental engines
-	rcv *RecoveryStats    // checkpoint/replay audit of crash recovery
+	res *ResilienceStats // retry/trip/DLQ audit of the resilience layer
+	rcv *RecoveryStats   // checkpoint/replay audit of crash recovery
 
 	schedStats schedHolder // fair-share scheduler accounting (set at run end)
 
@@ -110,7 +109,7 @@ func New(timeScale float64) *Monitor {
 		timeScale = 1
 	}
 	return &Monitor{timeScale: timeScale, shards: make(map[string]*recordShard),
-		res: NewResilienceStats(), inc: NewIncrementalStats(), rcv: NewRecoveryStats()}
+		res: NewResilienceStats(), rcv: NewRecoveryStats()}
 }
 
 // shard returns (creating on demand) the process type's record shard. The
@@ -306,16 +305,6 @@ type Report struct {
 	Trips       uint64
 	DeadLetters uint64
 
-	// Incremental-extraction totals (0 when no engine ran incrementally).
-	Deltas      uint64 // delta extractions served
-	DeltaRows   uint64 // row images carried by all deltas
-	DeltaResets uint64 // watermark failures degraded to full snapshots
-	RegionSkips uint64 // mart refreshes skipped on empty regions
-
-	// PeriodDeltas breaks the incremental audit down per benchmark
-	// period (empty when no engine ran incrementally).
-	PeriodDeltas []PeriodDelta
-
 	// Recovery totals (zero when the run neither checkpointed nor
 	// resumed from one).
 	Replayed    int    // WAL records replayed during recovery
@@ -412,14 +401,8 @@ func (m *Monitor) AnalyzeFrom(minPeriod int) *Report {
 		}
 	}
 	rep.Retries, rep.Trips, rep.DeadLetters = m.res.Totals()
-	rep.Deltas, rep.DeltaRows, rep.DeltaResets, rep.RegionSkips = m.inc.Totals()
 	rep.Replayed, rep.DedupHits, rep.Checkpoints = m.rcv.Totals()
 	rep.Sched = m.schedStats.get()
-	for _, p := range m.inc.Periods() {
-		if p.Period >= minPeriod {
-			rep.PeriodDeltas = append(rep.PeriodDeltas, p)
-		}
-	}
 	return rep
 }
 
@@ -500,14 +483,6 @@ func (r *Report) String() string {
 	if r.Retries > 0 || r.Trips > 0 || r.DeadLetters > 0 {
 		out += fmt.Sprintf("Resilience: retries=%d breaker-trips=%d dead-letters=%d\n",
 			r.Retries, r.Trips, r.DeadLetters)
-	}
-	if r.Deltas > 0 || r.RegionSkips > 0 {
-		out += fmt.Sprintf("Incremental: deltas=%d delta-rows=%d resets=%d region-skips=%d\n",
-			r.Deltas, r.DeltaRows, r.DeltaResets, r.RegionSkips)
-		for _, p := range r.PeriodDeltas {
-			out += fmt.Sprintf("  k=%-3d %6d deltas %8d rows %4d resets %4d skips\n",
-				p.Period, p.Deltas, p.Rows, p.Resets, p.Skips)
-		}
 	}
 	if r.Replayed > 0 || r.DedupHits > 0 || r.Checkpoints > 0 {
 		out += fmt.Sprintf("Recovery: replayed=%d dedup-hits=%d checkpoints=%d\n",

@@ -23,10 +23,6 @@ type Message struct {
 	Doc *x.Node
 	// Data is the relational payload, nil for pure XML messages.
 	Data *rel.Relation
-	// Delta is the net change set behind an incremental extraction
-	// (OpQuerySince); Data aliases its insert images so ordinary dataset
-	// operators consume the delta without knowing about it.
-	Delta *rel.Delta
 }
 
 // XMLMessage wraps a document as a message.
@@ -34,19 +30,6 @@ func XMLMessage(doc *x.Node) *Message { return &Message{Doc: doc} }
 
 // DataMessage wraps a relation as a message.
 func DataMessage(r *rel.Relation) *Message { return &Message{Data: r} }
-
-// DeltaMessage wraps a net change set as a message; the dataset payload
-// is the delta's insert images (on a Reset delta: the full snapshot).
-func DeltaMessage(d *rel.Delta) *Message { return &Message{Data: d.Inserts, Delta: d} }
-
-// RequireDelta returns the change-set payload or an error naming the
-// variable.
-func (m *Message) RequireDelta(varName string) (*rel.Delta, error) {
-	if m == nil || m.Delta == nil {
-		return nil, fmt.Errorf("mtm: variable %q does not hold a delta", varName)
-	}
-	return m.Delta, nil
-}
 
 // IsXML reports whether the message carries an XML document.
 func (m *Message) IsXML() bool { return m != nil && m.Doc != nil }

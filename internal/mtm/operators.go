@@ -1,7 +1,6 @@
 package mtm
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -89,11 +88,6 @@ const (
 	OpUpdate   InvokeOp = "update"
 	OpCall     InvokeOp = "call"
 	OpSend     InvokeOp = "send"
-	// OpQuerySince extracts only the net changes after the watermark the
-	// engine remembered for Service.Table, binding Out to a delta message
-	// and advancing the watermark on success. Gateways without delta
-	// support degrade to a full query presented as a Reset delta.
-	OpQuerySince InvokeOp = "querysince"
 )
 
 // Invoke calls an external system — the INVOKE operator. The Service and
@@ -121,12 +115,6 @@ type Invoke struct {
 	Set map[string]rel.Value
 	// Args are stored-procedure arguments for call.
 	Args []rel.Value
-	// WatermarkTag isolates a querysince extraction's watermark from other
-	// extractions of the same Service.Table on the same engine. Region
-	// variants of one logical extraction (sharded execution with fewer
-	// shards than regions) each track their own cursor; without the tag
-	// the first variant's advance would hide the delta from the rest.
-	WatermarkTag string
 }
 
 // Kind implements Operator.
@@ -159,12 +147,6 @@ func (o Invoke) Execute(ctx *Context) error {
 			return invokeErr(o, err)
 		}
 		ctx.Set(o.Out, DataMessage(r))
-	case OpQuerySince:
-		d, err := o.querySince(ctx, ectx)
-		if err != nil {
-			return invokeErr(o, err)
-		}
-		ctx.Set(o.Out, DeltaMessage(d))
 	case OpFetchXML:
 		doc, err := ctx.Ext.FetchXML(ectx, o.Service, o.Table)
 		if err != nil {
@@ -219,45 +201,6 @@ func (o Invoke) Execute(ctx *Context) error {
 
 func invokeErr(o Invoke, err error) error {
 	return fmt.Errorf("mtm: INVOKE %s.%s %s: %w", o.Service, o.Table, o.Operation, err)
-}
-
-// querySince performs the watermarked extraction behind OpQuerySince:
-// look up the last extracted version, pull the net changes, advance the
-// watermark and report the delta size to the monitor.
-func (o Invoke) querySince(ctx *Context, ectx context.Context) (*rel.Delta, error) {
-	key := o.Service + "." + o.Table
-	if o.WatermarkTag != "" {
-		key += "#" + o.WatermarkTag
-	}
-	var since uint64
-	if wm := ctx.Watermarks(); wm != nil {
-		since = wm.Watermark(key)
-	}
-	var d *rel.Delta
-	if src, ok := ctx.Ext.(DeltaSource); ok {
-		var err error
-		d, err = src.QuerySince(ectx, o.Service, o.Table, since)
-		if err != nil {
-			return nil, err
-		}
-		if wm := ctx.Watermarks(); wm != nil {
-			wm.SetWatermark(key, d.To)
-		}
-	} else {
-		// Degraded path: no delta support on this gateway. Serve a full
-		// query as a Reset delta and leave the watermark untouched so the
-		// next extraction stays full too.
-		r, err := ctx.Ext.Query(ectx, o.Service, o.Table, rel.True())
-		if err != nil {
-			return nil, err
-		}
-		d = &rel.Delta{Table: o.Table, From: since, Reset: true, Inserts: r,
-			Updates: r.Empty(), Deletes: r.Empty()}
-	}
-	if rec := ctx.DeltaRecorder(); rec != nil {
-		rec.RecordDelta(key, d.Rows(), d.Reset)
-	}
-	return d, nil
 }
 
 // Translate applies an STX stylesheet to an XML message — the TRANSLATE

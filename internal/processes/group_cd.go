@@ -151,14 +151,7 @@ func newP14() *mtm.Process {
 // newMartLoad builds the per-mart subprocess of P14: the schema mapping
 // from the warehouse schema to the mart's variant and the load.
 func newMartLoad(v schema.MartVariant) *mtm.Process {
-	return newMartLoadOp(v, mtm.OpInsert)
-}
-
-// newMartLoadOp parameterizes the mart load by its write operation: the
-// full refresh inserts into freshly truncated marts, the incremental
-// variant upserts so replaying a Reset delta over an already-loaded mart
-// stays idempotent.
-func newMartLoadOp(v schema.MartVariant, load mtm.InvokeOp) *mtm.Process {
+	const load = mtm.OpInsert
 	pfx := v.Name + "_"
 	ops := []mtm.Operator{
 		mtm.Invoke{Service: v.Name, Operation: load, Table: "Customer", In: pfx + "cust"},

@@ -11,7 +11,6 @@ import (
 type Definitions struct {
 	all  []*mtm.Process
 	byID map[string]*mtm.Process
-	incr map[string]*mtm.Process
 }
 
 // New instantiates all process types and validates their definitions.
@@ -43,20 +42,6 @@ func New() (*Definitions, error) {
 		}
 		d.byID[p.ID] = p
 	}
-	d.incr = make(map[string]*mtm.Process, 3)
-	for _, p := range []*mtm.Process{
-		newP13Incremental(),
-		newP14Incremental(),
-		newP15Incremental(),
-	} {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("processes: incremental %s: %w", p.ID, err)
-		}
-		if d.byID[p.ID] == nil {
-			return nil, fmt.Errorf("processes: incremental variant %s has no base process", p.ID)
-		}
-		d.incr[p.ID] = p
-	}
 	return d, nil
 }
 
@@ -74,19 +59,6 @@ func (d *Definitions) All() []*mtm.Process { return d.all }
 
 // ByID returns the process with the given id, or nil.
 func (d *Definitions) ByID(id string) *mtm.Process { return d.byID[id] }
-
-// Variant returns the process to execute for the given id. With
-// incremental set it prefers the delta-driven variant when one exists
-// (P13, P14, P15 — the data-intensive group C/D movements); every other
-// process has no cheaper formulation and runs its base definition.
-func (d *Definitions) Variant(id string, incremental bool) *mtm.Process {
-	if incremental {
-		if p := d.incr[id]; p != nil {
-			return p
-		}
-	}
-	return d.byID[id]
-}
 
 // InventoryRow is one row of the Table I process type inventory.
 type InventoryRow struct {

@@ -134,8 +134,8 @@ func NewP12RegionExtract(region string, emit ShardEmit) *mtm.Process {
 			// store's scan evaluates it, the process only sees its region.
 			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuery,
 				Table: "Customer",
-				Pred: rel.And(notIntegrated, rel.ColEq("Region", rel.NewString(region))),
-				Out:  "cust_r"},
+				Pred:  rel.And(notIntegrated, rel.ColEq("Region", rel.NewString(region))),
+				Out:   "cust_r"},
 			mtm.Projection{In: "cust_r", Out: "cust_wh",
 				Cols: []string{"Custkey", "Name", "Address", "Phone", "City", "Nation", "Region"}},
 			validateStep("cust_wh", schema.WHCustomer),
@@ -145,55 +145,33 @@ func NewP12RegionExtract(region string, emit ShardEmit) *mtm.Process {
 }
 
 // NewP13RegionExtract builds the per-shard half of the sharded P13:
-// extract one region's slice of the cleansed movement data (full scan or
-// watermarked delta), validate it, and emit the order and orderline
-// batches into the exchange. The loads, the view refresh and the trailing
-// staging deletes are the coordinator's merge step.
-func NewP13RegionExtract(region string, incremental bool, emit ShardEmit) *mtm.Process {
-	var ops []mtm.Operator
-	if incremental {
-		// The delta carries every region's new rows; the region slice is
-		// taken in the process context after replaying the delta images.
-		ops = append(ops,
-			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuerySince,
-				Table: "Orders", Out: "ord_d", WatermarkTag: region},
-			deltaNewRows("ord_d", "ord"),
-			mtm.Selection{In: "ord", Out: "ord_r", Pred: regionOrdersPred(region)},
-			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuerySince,
-				Table: "Orderline", Out: "line_d", WatermarkTag: region},
-			deltaNewRows("line_d", "line"),
-		)
-	} else {
-		// Full extraction pushes the region partition into the staging
-		// scan: the store evaluates the city predicate while scanning, so
-		// only the region's slice ever crosses into the process.
-		ops = append(ops,
+// extract one region's slice of the cleansed movement data, validate it,
+// and emit the order and orderline batches into the exchange. The loads,
+// the view refresh and the trailing staging deletes are the coordinator's
+// merge step.
+func NewP13RegionExtract(region string, emit ShardEmit) *mtm.Process {
+	return &mtm.Process{
+		ID: "P13@" + region, Name: "Warehouse movement data extraction " + region,
+		Group: mtm.GroupC, Event: mtm.E2,
+		Ops: []mtm.Operator{
+			// The region partition is pushed into the staging scan: the
+			// store evaluates the city predicate while scanning, so only the
+			// region's slice ever crosses into the process.
 			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuery,
 				Table: "Orders", Pred: regionOrdersPred(region), Out: "ord_r"},
 			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuery,
 				Table: "Orderline", Out: "line"},
-		)
-	}
-	ops = append(ops,
-		mtm.Projection{In: "ord_r", Out: "ord_wh",
-			Cols: []string{"Ordkey", "Custkey", "Citykey", "Orderdate", "Status", "Priority", "Totalprice"}},
-		validateStep("ord_wh", schema.WHOrders),
-		emitStep(emit, region, "ord_wh", "ord_wh"),
+			mtm.Projection{In: "ord_r", Out: "ord_wh",
+				Cols: []string{"Ordkey", "Custkey", "Citykey", "Orderdate", "Status", "Priority", "Totalprice"}},
+			validateStep("ord_wh", schema.WHOrders),
+			emitStep(emit, region, "ord_wh", "ord_wh"),
 
-		filterByOrders("line", "ord_r", "line_r"),
-		mtm.Projection{In: "line_r", Out: "line_wh",
-			Cols: []string{"Ordkey", "Pos", "Prodkey", "Quantity", "Extendedprice"}},
-		validateStep("line_wh", schema.WHOrderline),
-		emitStep(emit, region, "line_wh", "line_wh"),
-	)
-	name := "Warehouse movement data extraction " + region
-	if incremental {
-		name += " (incremental)"
-	}
-	return &mtm.Process{
-		ID: "P13@" + region, Name: name,
-		Group: mtm.GroupC, Event: mtm.E2,
-		Ops: ops,
+			filterByOrders("line", "ord_r", "line_r"),
+			mtm.Projection{In: "line_r", Out: "line_wh",
+				Cols: []string{"Ordkey", "Pos", "Prodkey", "Quantity", "Extendedprice"}},
+			validateStep("line_wh", schema.WHOrderline),
+			emitStep(emit, region, "line_wh", "line_wh"),
+		},
 	}
 }
 
@@ -244,7 +222,7 @@ func NewShardedP12(scatter func(*mtm.Context) error) *mtm.Process {
 // downstream float sum in OrdersMV) therefore depends only on the region
 // order, never on the shard count. The view refresh and the staging
 // cleanup close the stream exactly as in the unsharded process.
-func NewShardedP13(incremental bool, scatter func(*mtm.Context) error) *mtm.Process {
+func NewShardedP13(scatter func(*mtm.Context) error) *mtm.Process {
 	ops := []mtm.Operator{
 		mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpCall,
 			Table: "sp_runMovementDataCleansing", Out: "cleansed"},
@@ -258,73 +236,28 @@ func NewShardedP13(incremental bool, scatter func(*mtm.Context) error) *mtm.Proc
 		ops = append(ops, mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpInsert,
 			Table: "Orderline", In: ShardVar("line_wh", region)})
 	}
-	refresh := mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpCall,
-		Table: "sp_refreshOrdersMV"}
-	name := "Bulk-loading data warehouse movement data (sharded)"
-	if incremental {
-		refresh.Args = []rel.Value{rel.NewBool(true)}
-		name = "Bulk-loading data warehouse movement data (sharded, incremental)"
-	}
 	ops = append(ops,
-		refresh,
+		mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpCall,
+			Table: "sp_refreshOrdersMV"},
 		mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpDelete, Table: "Orders"},
 		mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpDelete, Table: "Orderline"},
 	)
 	return &mtm.Process{
-		ID: "P13", Name: name,
+		ID: "P13", Name: "Bulk-loading data warehouse movement data (sharded)",
 		Group: mtm.GroupC, Event: mtm.E2,
 		Ops: ops,
 	}
 }
 
 // NewP14Region builds the per-shard P14 variant refreshing one region's
-// data mart. The warehouse reads are shared-store queries (every shard
-// holds its own extraction watermarks in incremental mode); the mart
+// data mart. The warehouse reads are shared-store queries; the mart
 // writes are exclusively the owning shard's.
-func NewP14Region(region string, incremental bool) (*mtm.Process, error) {
+func NewP14Region(region string) (*mtm.Process, error) {
 	v, ok := MartForRegion(region)
 	if !ok {
 		return nil, fmt.Errorf("processes: no data mart serves region %q", region)
 	}
-	if incremental {
-		s1 := &mtm.Process{
-			ID: "P14_S1@" + region, Name: "Load warehouse data " + region + " (incremental)",
-			Group: mtm.GroupD, Event: mtm.E2,
-			Ops: []mtm.Operator{
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuerySince, Table: "Customer", Out: "wh_cust_d", WatermarkTag: region},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuerySince, Table: "Product", Out: "wh_prod_d", WatermarkTag: region},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuery, Table: "ProductGroup", Out: "wh_group"},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuery, Table: "ProductLine", Out: "wh_line"},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuery, Table: "City", Out: "wh_city"},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuery, Table: "Nation", Out: "wh_nation"},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuery, Table: "Region", Out: "wh_region"},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuerySince, Table: "Orders", Out: "wh_orders_d", WatermarkTag: region},
-				mtm.Invoke{Service: schema.SysDWH, Operation: mtm.OpQuerySince, Table: "Orderline", Out: "wh_lines_d", WatermarkTag: region},
-				deltaImages("wh_cust_d", "wh_cust"),
-				deltaImages("wh_prod_d", "wh_prod"),
-				deltaInserts("wh_orders_d", "wh_orders"),
-				deltaInserts("wh_lines_d", "wh_lines"),
-				partitionByRegion(),
-			},
-		}
-		return &mtm.Process{
-			ID: "P14@" + region, Name: "Refreshing data mart " + v.Name + " (incremental)",
-			Group: mtm.GroupD, Event: mtm.E2,
-			Ops: []mtm.Operator{
-				mtm.Subprocess{Process: s1},
-				mtm.Switch{
-					Cases: []mtm.SwitchCase{{
-						When: martUntouched(v),
-						Ops:  []mtm.Operator{recordRegionSkip(v.Region)},
-					}},
-					Else: []mtm.Operator{
-						mtm.Subprocess{Process: newMartLoadOp(v, mtm.OpUpsert)},
-					},
-				},
-			},
-		}, nil
-	}
-	// The full refresh pushes the region slice into the warehouse reads:
+	// The refresh pushes the region slice into the warehouse reads:
 	// Customer and Orders are scanned under the region predicate inside
 	// the store, so each shard pulls only its region's fact rows. The
 	// dimension tables and the orderlines (keyed by order, not by city)
@@ -358,20 +291,16 @@ func NewP14Region(region string, incremental bool) (*mtm.Process, error) {
 
 // NewP15Region builds the per-shard P15 variant refreshing one region
 // mart's materialized view.
-func NewP15Region(region string, incremental bool) (*mtm.Process, error) {
+func NewP15Region(region string) (*mtm.Process, error) {
 	v, ok := MartForRegion(region)
 	if !ok {
 		return nil, fmt.Errorf("processes: no data mart serves region %q", region)
 	}
-	iv := mtm.Invoke{Service: v.Name, Operation: mtm.OpCall, Table: "sp_refreshOrdersMV"}
-	name := "Refreshing data mart materialized view " + v.Name
-	if incremental {
-		iv.Args = []rel.Value{rel.NewBool(true)}
-		name += " (incremental)"
-	}
 	return &mtm.Process{
-		ID: "P15@" + region, Name: name,
+		ID: "P15@" + region, Name: "Refreshing data mart materialized view " + v.Name,
 		Group: mtm.GroupD, Event: mtm.E2,
-		Ops:   []mtm.Operator{iv},
+		Ops: []mtm.Operator{
+			mtm.Invoke{Service: v.Name, Operation: mtm.OpCall, Table: "sp_refreshOrdersMV"},
+		},
 	}, nil
 }

@@ -7,25 +7,22 @@ import (
 )
 
 // snapshotMagic pins the per-database snapshot blob format used by the
-// crash-recovery checkpoints.
-const snapshotMagic = "DIPDBS1\n"
+// crash-recovery checkpoints. Version 1 also carried a per-table row
+// version counter; such blobs are refused.
+const snapshotMagic = "DIPDBS2\n"
 
 // Snapshot serializes the database's full contents to a self-describing
-// binary blob: for every table its name, schema signature, version
-// counter and the live rows in slot order. Journals are deliberately NOT
-// serialized — a restored table starts with an empty journal, and any
-// stale extraction watermark degrades to a full-snapshot Reset delta,
-// which PR 4 pins as byte-identical to the incremental path.
+// binary blob: for every table its name, schema signature and the live
+// rows in slot order.
 func (db *Database) Snapshot() ([]byte, error) {
 	names := db.TableNames()
 	buf := append([]byte(nil), snapshotMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		t := db.MustTable(name)
-		rows, version := t.snapshotRows()
+		rows := t.snapshotRows()
 		buf = appendString(buf, t.Name())
 		buf = appendString(buf, t.Schema().String())
-		buf = binary.AppendUvarint(buf, version)
 		buf = binary.AppendUvarint(buf, uint64(len(rows)))
 		for _, row := range rows {
 			buf = binary.AppendUvarint(buf, uint64(len(row)))
@@ -40,7 +37,8 @@ func (db *Database) Snapshot() ([]byte, error) {
 // Restore replaces the database's contents with a snapshot produced by
 // Snapshot. The snapshot must describe exactly the tables the catalog
 // declares, with matching schema signatures; any drift fails loudly. It
-// returns the number of rows restored.
+// returns the number of rows restored. A malformed blob yields an error,
+// never a panic: checkpoint files are input from outside the process.
 func (db *Database) Restore(blob []byte) (int, error) {
 	d := &snapDecoder{b: blob}
 	if err := d.magic(); err != nil {
@@ -55,8 +53,7 @@ func (db *Database) Restore(blob []byte) (int, error) {
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.str()
 		sig := d.str()
-		version := d.uvarint()
-		rowCount := int(d.uvarint())
+		rowCount := d.count()
 		if d.err != nil {
 			break
 		}
@@ -69,7 +66,7 @@ func (db *Database) Restore(blob []byte) (int, error) {
 		}
 		rows := make([]Row, rowCount)
 		for r := 0; r < rowCount; r++ {
-			width := int(d.uvarint())
+			width := d.count()
 			if d.err != nil {
 				break
 			}
@@ -82,7 +79,7 @@ func (db *Database) Restore(blob []byte) (int, error) {
 		if d.err != nil {
 			break
 		}
-		if err := t.RestoreSnapshot(rows, version); err != nil {
+		if err := t.RestoreSnapshot(rows); err != nil {
 			return total, fmt.Errorf("relational: restore %s: %w", db.name, err)
 		}
 		total += rowCount
@@ -93,9 +90,9 @@ func (db *Database) Restore(blob []byte) (int, error) {
 	return total, nil
 }
 
-// snapshotRows returns the live rows in slot order plus the version
-// counter, without materializing a cached Relation.
-func (t *Table) snapshotRows() ([]Row, uint64) {
+// snapshotRows returns the live rows in slot order without
+// materializing a cached Relation.
+func (t *Table) snapshotRows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rows := make([]Row, 0, len(t.rows)-len(t.free))
@@ -104,18 +101,14 @@ func (t *Table) snapshotRows() ([]Row, uint64) {
 			rows = append(rows, row)
 		}
 	}
-	return rows, t.version
+	return rows
 }
 
 // RestoreSnapshot replaces the table's contents with the given rows (in
-// the order they will occupy slots), pinning the version counter to the
-// checkpointed value. The primary key and all secondary indexes are
-// rebuilt; the change journal restarts empty just past the restored
-// version, so a pre-crash watermark that survived observes
-// ErrDeltaUnavailable and falls back to a full-snapshot Reset delta.
-// Triggers do not fire: a restore re-materializes state, it is not new
-// data flowing through the integration processes.
-func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
+// the order they will occupy slots). The primary key and all secondary
+// indexes are rebuilt. Triggers do not fire: a restore re-materializes
+// state, it is not new data flowing through the integration processes.
+func (t *Table) RestoreSnapshot(rows []Row) error {
 	for i, row := range rows {
 		if err := t.schema.CheckRow(row); err != nil {
 			return fmt.Errorf("row %d of %s: %w", i, t.name, err)
@@ -135,6 +128,10 @@ func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
 			h := t.hashKey(row)
 			for _, prev := range t.pk[h] {
 				if keyEqual(t.rows[prev], row, t.schema.Key) {
+					// Keep the rows restored so far consistent with the
+					// indexes built for them.
+					t.rows = t.rows[:slot]
+					t.snap = nil
 					return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
 				}
 			}
@@ -143,10 +140,7 @@ func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
 		t.rows[slot] = row
 		t.indexRow(slot, row)
 	}
-	t.version = version
 	t.snap = nil
-	t.journal = t.journal[:0]
-	t.journalStart = version + 1
 	return nil
 }
 
@@ -212,6 +206,18 @@ func (d *snapDecoder) uvarint() uint64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads a length prefix of items that each take at least one byte
+// of the rest of the blob, so a corrupt prefix cannot force a huge
+// allocation before the decoder notices the blob is too short.
+func (d *snapDecoder) count() int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("count %d exceeds the %d remaining bytes", n, len(d.b))
+		return 0
+	}
+	return int(n)
 }
 
 func (d *snapDecoder) varint() int64 {

@@ -1,6 +1,9 @@
 package relational
 
 import (
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,7 +37,7 @@ func populateSnapshotDB(t *testing.T, db *Database) {
 			t.Fatal(err)
 		}
 	}
-	// Mix in deletes and updates so slots, indexes and version move.
+	// Mix in deletes and updates so slots and indexes move.
 	del := PredicateFunc("Id%10=3", func(s *Schema, r Row) (bool, error) { return r[0].Int()%10 == 3, nil })
 	if _, err := tb.Delete(del); err != nil {
 		t.Fatal(err)
@@ -89,14 +92,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := src.MustTable("Items").snapshotRows()
+	want := src.MustTable("Items").snapshotRows()
 	if n != len(want) {
 		t.Fatalf("restored %d rows, want %d", n, len(want))
 	}
 	relEqual(t, src.MustTable("Items").Scan(), dst.MustTable("Items").Scan())
-	if sv, dv := src.MustTable("Items").Version(), dst.MustTable("Items").Version(); sv != dv {
-		t.Fatalf("versions differ after restore: %d vs %d", sv, dv)
-	}
 	// Indexes were rebuilt: an indexed lookup must find the same rows.
 	got, err := dst.MustTable("Items").SelectWhere(ColEq("Name", NewString("n")))
 	if err != nil {
@@ -114,44 +114,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// ...and new non-duplicate mutations work normally.
 	if err := dst.MustTable("Items").Insert(Row{NewInt(1000), NewString("new"), NewFloat(1), NewBool(true), NewTime(time.Unix(0, 2))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRestoreResetsJournal(t *testing.T) {
-	src := snapshotTestDB(t)
-	blob, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := snapshotTestDB(t)
-	if _, err := dst.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	tb := dst.MustTable("Items")
-	v := tb.Version()
-	// A watermark from before the restored version cannot be served
-	// incrementally; the reader must get the loud delta-unavailable error
-	// and fall back to a Reset snapshot.
-	if _, err := tb.ChangesSince(v - 1); err == nil {
-		t.Fatal("pre-restore watermark must not be served from an empty journal")
-	}
-	d, err := tb.DeltaSince(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Reset {
-		t.Fatal("watermark at the restored version must read an empty incremental delta")
-	}
-	// Post-restore changes journal normally.
-	if err := tb.Insert(Row{NewInt(5000), NewString("j"), NewFloat(0), NewBool(true), NewTime(time.Unix(0, 3))}); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := tb.DeltaSince(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Reset || d2.Inserts.Len() != 1 {
-		t.Fatalf("post-restore delta: reset=%v inserts=%d", d2.Reset, d2.Inserts.Len())
 	}
 }
 
@@ -188,6 +150,63 @@ func TestRestoreRejectsDrift(t *testing.T) {
 	}
 	if _, err := src2.Restore([]byte("JUNKMAGIC")); err == nil {
 		t.Fatal("restore of junk must fail")
+	}
+}
+
+// TestRestoreSnapshotDuplicateKey: a snapshot repeating a primary key is
+// refused, and the table keeps a consistent prefix instead of counting
+// slots that were never filled.
+func TestRestoreSnapshotDuplicateKey(t *testing.T) {
+	tb := snapshotTestDB(t).MustTable("Items")
+	rows := tb.snapshotRows()
+	dup := []Row{rows[0], rows[1], rows[0], rows[2]}
+	var ke *KeyError
+	if err := tb.RestoreSnapshot(dup); !errors.As(err, &ke) {
+		t.Fatalf("duplicate key: err %v, want a KeyError", err)
+	}
+	if n, scanned := tb.Len(), tb.Scan().Len(); n != 2 || scanned != 2 {
+		t.Fatalf("after refused restore: Len %d, Scan %d rows, want 2", n, scanned)
+	}
+}
+
+// snapshotV1 encodes the database in the retired DIPDBS1 layout, which
+// also stored a row version counter per table.
+func snapshotV1(db *Database) []byte {
+	names := db.TableNames()
+	buf := append([]byte(nil), "DIPDBS1\n"...)
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, name := range names {
+		t := db.MustTable(name)
+		rows := t.snapshotRows()
+		buf = appendString(buf, t.Name())
+		buf = appendString(buf, t.Schema().String())
+		buf = binary.AppendUvarint(buf, 99) // the row version counter
+		buf = binary.AppendUvarint(buf, uint64(len(rows)))
+		for _, row := range rows {
+			buf = binary.AppendUvarint(buf, uint64(len(row)))
+			for _, v := range row {
+				buf = appendValue(buf, v)
+			}
+		}
+	}
+	return buf
+}
+
+// TestRestoreRefusesV1Blob: a checkpoint written in the old layout is
+// refused with an error and leaves the database untouched.
+func TestRestoreRefusesV1Blob(t *testing.T) {
+	src := snapshotTestDB(t)
+	dst := snapshotTestDB(t)
+	if err := dst.MustTable("Items").Insert(Row{NewInt(999), NewString("x"), NewFloat(0), NewBool(false), NewTime(time.Unix(0, 1))}); err != nil {
+		t.Fatal(err)
+	}
+	before := dst.MustTable("Items").Len()
+	_, err := dst.Restore(snapshotV1(src))
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("DIPDBS1 blob: err %v, want a bad-magic error", err)
+	}
+	if got := dst.MustTable("Items").Len(); got != before {
+		t.Fatalf("refused blob changed the table: %d rows, want %d", got, before)
 	}
 }
 

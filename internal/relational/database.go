@@ -174,16 +174,6 @@ func (db *Database) Call(name string, args ...Value) (*Relation, error) {
 	return p(db, args)
 }
 
-// SetJournalLimit bounds the change journal of every table in the
-// catalog (see Table.SetJournalLimit).
-func (db *Database) SetJournalLimit(n int) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, t := range db.tables {
-		t.SetJournalLimit(n)
-	}
-}
-
 // TruncateAll truncates every table; the per-period "uninitialize all
 // external systems" step of the benchmark execution.
 func (db *Database) TruncateAll() {
@@ -369,21 +359,6 @@ func (c *Conn) Query(table string, pred Predicate) (*Relation, error) {
 // Scan fetches the whole table, one round trip.
 func (c *Conn) Scan(table string) (*Relation, error) {
 	return c.Query(table, True())
-}
-
-// QuerySince fetches the net changes after the watermark, one round
-// trip. When the table cannot serve the delta (journal evicted, table
-// truncated, foreign watermark) the result is a Reset delta carrying a
-// full snapshot — never a silently empty one.
-func (c *Conn) QuerySince(table string, since uint64) (*Delta, error) {
-	if err := c.roundTrip("querysince", table); err != nil {
-		return nil, err
-	}
-	t := c.db.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("relational: no table %s.%s", c.db.name, table)
-	}
-	return t.QuerySince(since)
 }
 
 // Insert inserts one row, one round trip.

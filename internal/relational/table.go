@@ -50,13 +50,6 @@ type Table struct {
 	indexes  map[string]*hashIndex
 	triggers map[TriggerEvent][]Trigger
 
-	// Change-data capture (journal.go): version counts every mutation;
-	// journal holds the entries for versions journalStart..version.
-	version      uint64
-	journal      []Change
-	journalStart uint64 // version of journal[0]
-	journalLimit int    // bound on retained entries
-
 	// snap caches the last Scan materialization; any mutation clears it.
 	// Relations are immutable throughout the engine, so handing every
 	// read-only caller the same snapshot is safe (copy-on-write: the next
@@ -81,13 +74,11 @@ type hashIndex struct {
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
 	return &Table{
-		name:         name,
-		schema:       schema,
-		pk:           make(map[uint64][]int),
-		indexes:      make(map[string]*hashIndex),
-		triggers:     make(map[TriggerEvent][]Trigger),
-		journalStart: 1,
-		journalLimit: DefaultJournalLimit,
+		name:     name,
+		schema:   schema,
+		pk:       make(map[uint64][]int),
+		indexes:  make(map[string]*hashIndex),
+		triggers: make(map[TriggerEvent][]Trigger),
 	}
 }
 
@@ -164,7 +155,7 @@ func (t *Table) Insert(row Row) error {
 		t.indexRow(slot, row)
 	}
 	t.inserts++
-	t.logChange(ChangeInsert, nil, row)
+	t.snap = nil
 	trs := t.triggers[OnInsert]
 	t.mu.Unlock()
 	for _, tr := range trs {
@@ -203,7 +194,7 @@ func (t *Table) InsertAll(r *Relation) error {
 	// Reserve the batch's storage up front so the load runs without
 	// incremental slice growth or hash-bucket splits: the row store, the
 	// PK index of an empty table (the mart-rebuild and staging pattern:
-	// truncate, then bulk load), and the change journal.
+	// truncate, then bulk load).
 	if need := n - len(t.free); need > 0 && cap(t.rows)-len(t.rows) < need {
 		grown := make([]Row, len(t.rows), len(t.rows)+need)
 		copy(grown, t.rows)
@@ -212,11 +203,7 @@ func (t *Table) InsertAll(r *Relation) error {
 	if t.schema.HasKey() && len(t.pk) == 0 && n > 0 {
 		t.pk = make(map[uint64][]int, n)
 	}
-	if reserve := min(n, t.journalLimit); reserve > 0 && cap(t.journal)-len(t.journal) < reserve {
-		grown := make([]Change, len(t.journal), len(t.journal)+reserve)
-		copy(grown, t.journal)
-		t.journal = grown
-	}
+	t.snap = nil
 	for i := 0; i < n; i++ {
 		row := r.Row(i)
 		if err := t.schema.CheckRow(row); err != nil {
@@ -237,7 +224,6 @@ func (t *Table) InsertAll(r *Relation) error {
 			t.indexRow(slot, row)
 		}
 		t.inserts++
-		t.logChange(ChangeInsert, nil, row)
 	}
 	return nil
 }
@@ -263,7 +249,7 @@ func (t *Table) Upsert(row Row) error {
 			t.rows[slot] = row
 			t.indexRow(slot, row)
 			t.updates++
-			t.logChange(ChangeUpdate, ex, row)
+			t.snap = nil
 			updated = true
 			break
 		}
@@ -274,7 +260,7 @@ func (t *Table) Upsert(row Row) error {
 		t.pk[h] = append(t.pk[h], slot)
 		t.indexRow(slot, row)
 		t.inserts++
-		t.logChange(ChangeInsert, nil, row)
+		t.snap = nil
 		trs = t.triggers[OnInsert]
 	} else {
 		trs = t.triggers[OnUpdate]
@@ -324,7 +310,7 @@ func (t *Table) Delete(pred Predicate) (int, error) {
 		t.rows[slot] = nil
 		t.free = append(t.free, slot)
 		t.deletes++
-		t.logChange(ChangeDelete, row, nil)
+		t.snap = nil
 		removed = append(removed, row)
 		return nil
 	}
@@ -384,7 +370,7 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) (int, error) {
 		t.rows[slot] = nr
 		t.indexRow(slot, nr)
 		t.updates++
-		t.logChange(ChangeUpdate, row, nr)
+		t.snap = nil
 		changes = append(changes, change{row, nr})
 		return nil
 	}
@@ -432,20 +418,7 @@ func (t *Table) Truncate() {
 	for _, idx := range t.indexes {
 		clear(idx.buckets)
 	}
-	// The reset is one versioned change: stale watermarks must never
-	// numerically match the post-truncate version and silently read an
-	// empty delta. Earlier journal entries describe rows that no longer
-	// exist, so they are dropped and replaced by a single truncate marker
-	// that ChangesSince refuses to serve across.
-	t.version++
 	t.snap = nil
-	t.journal = t.journal[:0]
-	if t.journalLimit > 0 {
-		t.journal = append(t.journal, Change{Kind: ChangeTruncate})
-		t.journalStart = t.version
-	} else {
-		t.journalStart = t.version + 1
-	}
 }
 
 // Scan materializes the current contents as an immutable Relation. The

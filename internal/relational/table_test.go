@@ -364,3 +364,60 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSnapshotCache pins the copy-on-write contract: repeated scans
+// of a quiet table share one materialization, and every kind of mutation
+// swaps in a fresh one without disturbing handed-out snapshots.
+func TestScanSnapshotCache(t *testing.T) {
+	s := MustSchema([]Column{Col("K", TypeInt), Col("V", TypeFloat)}, "K")
+	row := func(k int64, v float64) Row { return Row{NewInt(k), NewFloat(v)} }
+	tab := NewTable("T", s)
+	for k := int64(0); k < 4; k++ {
+		if err := tab.Insert(row(k, float64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1 := tab.Scan()
+	s2 := tab.Scan()
+	if s1 != s2 {
+		t.Fatal("scans of an unchanged table should share the cached snapshot")
+	}
+	all, err := tab.SelectWhere(True())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all != s1 {
+		t.Fatal("SelectWhere(True) should reuse the cached snapshot")
+	}
+	mutations := []struct {
+		name string
+		fn   func() error
+	}{
+		{"insert", func() error { return tab.Insert(row(100, 1)) }},
+		{"insert all", func() error { return tab.InsertAll(MustRelation(s, []Row{row(101, 1)})) }},
+		{"upsert", func() error { return tab.Upsert(row(100, 2)) }},
+		{"update", func() error {
+			_, err := tab.Update(ColEq("K", NewInt(1)), func(r Row) Row { return row(1, 9) })
+			return err
+		}},
+		{"delete", func() error { _, err := tab.Delete(ColEq("K", NewInt(2))); return err }},
+		{"truncate", func() error { tab.Truncate(); return nil }},
+	}
+	prev := s1
+	for _, m := range mutations {
+		if err := m.fn(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		next := tab.Scan()
+		if next == prev {
+			t.Fatalf("%s must invalidate the cached snapshot", m.name)
+		}
+		prev = next
+	}
+	if s1.Len() != 4 {
+		t.Fatalf("old snapshot must stay frozen: len %d", s1.Len())
+	}
+	if prev.Len() != 0 {
+		t.Fatalf("scan after truncate: len %d", prev.Len())
+	}
+}

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +56,10 @@ type Scenario struct {
 	wsURL     string
 	remote    *dbproto.Remote // non-nil when Options.RemoteDB
 	faultPlan *fault.Plan     // non-nil after InstallFaultPlan
+	// transport carries every web-service and database-protocol request
+	// of this scenario, so its keep-alive connections can be closed
+	// without touching other scenarios in the process.
+	transport *http.Transport
 }
 
 // DatabaseSystems lists the systems realized as database instances, in
@@ -82,8 +87,9 @@ var SourceSystems = []string{
 // New builds and starts the topology.
 func New(opts Options) (*Scenario, error) {
 	s := &Scenario{
-		ES: rel.NewServer(opts.DBLatency),
-		WS: ws.NewRegistry(opts.WSDelay),
+		ES:        rel.NewServer(opts.DBLatency),
+		WS:        ws.NewRegistry(opts.WSDelay),
+		transport: http.DefaultTransport.(*http.Transport).Clone(),
 	}
 	// Layer 1: European and American database sources.
 	schema.SetupEuropeDB(s.ES.CreateInstance(schema.SysBerlinParis))
@@ -151,13 +157,20 @@ func MustNew(opts Options) *Scenario {
 }
 
 // Close shuts the web-service server and the database protocol endpoint
-// down.
+// down. The scenario's idle client connections close first: a server
+// shutdown waits for connections that never carried a request.
 func (s *Scenario) Close() error {
+	s.CloseIdleConnections()
 	if s.remote != nil {
 		_ = s.remote.Close()
 	}
 	return s.WS.Stop()
 }
+
+// CloseIdleConnections closes the keep-alive connections the scenario's
+// clients hold open. Each one pins a client read and write goroutine and
+// a server connection goroutine; a cancelled run releases them here.
+func (s *Scenario) CloseIdleConnections() { s.transport.CloseIdleConnections() }
 
 // RemoteDB reports whether the database server sits behind the HTTP
 // protocol boundary.
@@ -197,7 +210,7 @@ func (s *Scenario) FaultPlan() *fault.Plan { return s.faultPlan }
 
 // dbClient returns a protocol client for the instance (RemoteDB only).
 func (s *Scenario) dbClient(instance string) *dbproto.Client {
-	return dbproto.NewClient(s.remote.BaseURL(), instance)
+	return dbproto.NewClient(s.remote.BaseURL(), instance, s.transport)
 }
 
 // WSBaseURL returns the application server's base URL.
@@ -241,7 +254,7 @@ func (s *Scenario) SetScheduler(h *sched.Handle) {
 
 // WSClient returns a client for the named web service.
 func (s *Scenario) WSClient(system string) *ws.Client {
-	return ws.NewClient(s.wsURL, system)
+	return ws.NewClient(s.wsURL, system, s.transport)
 }
 
 // IsWebService reports whether the system is fronted by a web service.

@@ -67,7 +67,6 @@ type RunSpec struct {
 	// verification) disable them.
 	BreakerThreshold float64 `json:"breaker_threshold,omitempty"`
 
-	Incremental     string `json:"incremental,omitempty"`
 	Columnar        string `json:"columnar,omitempty"`
 	Shards          int    `json:"shards,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
@@ -167,7 +166,6 @@ func (t *tenant) coreConfig(checkpointEvery int, h *sched.Handle, drain func() b
 		Verify:          t.spec.Verify,
 		FaultRate:       t.spec.FaultRate,
 		FaultSeed:       t.spec.FaultSeed,
-		Incremental:     t.spec.Incremental,
 		Columnar:        t.spec.Columnar,
 		Shards:          t.spec.Shards,
 		WALDir:          filepath.Join(t.dir, "wal"),

@@ -1,7 +1,6 @@
 // Package wal implements the benchmark's crash-consistency log: an
 // append-only, checksummed write-ahead log recording E1 dispatch/ack
-// events, extraction-watermark advances, dead-letter appends and
-// period/stream barrier markers.
+// events, dead-letter appends and period/stream barrier markers.
 //
 // File layout:
 //
@@ -54,9 +53,11 @@ const (
 	// TypeAck records the completion of a dispatched event (Failed marks
 	// an instance failure). Payload: Event.
 	TypeAck
-	// TypeWatermark records an extraction-watermark advance.
-	// Payload: Mark.
-	TypeWatermark
+	// Slot 5 held the retired extraction-watermark record. It stays
+	// reserved so the later types keep their numbers; logs written
+	// before the retirement may still carry such records, and readers
+	// skip them like any other type they do not consume.
+	_
 	// TypeDLQ records a dead-lettered E1 message. Payload: DLQEntry.
 	TypeDLQ
 	// TypeStreamEnd marks a stream's completion (all its instances
@@ -82,8 +83,6 @@ func (t Type) String() string {
 		return "DISPATCH"
 	case TypeAck:
 		return "ACK"
-	case TypeWatermark:
-		return "WATERMARK"
 	case TypeDLQ:
 		return "DLQ"
 	case TypeStreamEnd:

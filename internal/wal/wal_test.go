@@ -21,11 +21,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := Event{Period: 3, Stream: 1, Process: "P04", Seq: 17, Digest: 0xdeadbeefcafe, Failed: true}
-	mk := Mark{Key: "CDB/Customers", Version: 42}
+	fn := FenceNote{Owner: "node-2", Token: 42}
 	dq := DLQEntry{Process: "P08", Period: 2, Cause: "exhausted", Message: "<Order/>"}
 	bn := BarrierNote{Period: 5, Barrier: 2, Manifest: 9}
 	mustAppend(t, w, TypeDispatch, ev.Encode())
-	mustAppend(t, w, TypeWatermark, mk.Encode())
+	mustAppend(t, w, TypeFence, fn.Encode())
 	mustAppend(t, w, TypeDLQ, dq.Encode())
 	mustAppend(t, w, TypeBarrier, bn.Encode())
 	if err := w.Close(); err != nil {
@@ -49,9 +49,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil || gotEv != ev {
 		t.Fatalf("event round trip: %+v vs %+v (%v)", gotEv, ev, err)
 	}
-	gotMk, err := DecodeMark(recs[1].Payload)
-	if err != nil || gotMk != mk {
-		t.Fatalf("mark round trip: %+v vs %+v (%v)", gotMk, mk, err)
+	gotFn, err := DecodeFenceNote(recs[1].Payload)
+	if err != nil || gotFn != fn {
+		t.Fatalf("fence round trip: %+v vs %+v (%v)", gotFn, fn, err)
 	}
 	gotDq, err := DecodeDLQEntry(recs[2].Payload)
 	if err != nil || gotDq != dq {

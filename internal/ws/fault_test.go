@@ -38,7 +38,7 @@ func TestInjectedHTTP500IsTransient(t *testing.T) {
 	seedCustomers(t, svc.Database(), 1)
 	plan := fault.NewPlan(fault.Config{Seed: 1, Rate: 1, Kinds: []fault.Kind{fault.KindHTTP500}})
 	reg.SetFaultPlan(plan)
-	_, err := NewClient(url, schema.SysBeijing).Query("Customers")
+	_, err := NewClient(url, schema.SysBeijing, nil).Query("Customers")
 	if err == nil {
 		t.Fatal("injected 503 did not surface")
 	}
@@ -54,7 +54,7 @@ func TestInjectedHTTP500IsTransient(t *testing.T) {
 	}
 	// Removing the plan restores normal service.
 	reg.SetFaultPlan(nil)
-	if _, err := NewClient(url, schema.SysBeijing).Query("Customers"); err != nil {
+	if _, err := NewClient(url, schema.SysBeijing, nil).Query("Customers"); err != nil {
 		t.Fatalf("after plan removal: %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestInjectedConnectionResetIsTransient(t *testing.T) {
 	reg, svc, url := startRegistry(t, 0)
 	seedCustomers(t, svc.Database(), 1)
 	reg.SetFaultPlan(fault.NewPlan(fault.Config{Seed: 1, Rate: 1, Kinds: []fault.Kind{fault.KindReset}}))
-	_, err := NewClient(url, schema.SysBeijing).Query("Customers")
+	_, err := NewClient(url, schema.SysBeijing, nil).Query("Customers")
 	if err == nil {
 		t.Fatal("dropped connection did not surface")
 	}
@@ -83,7 +83,7 @@ func TestInjectedLatencyDelaysButSucceeds(t *testing.T) {
 	})
 	reg.SetFaultPlan(plan)
 	start := time.Now()
-	r, err := NewClient(url, schema.SysBeijing).QueryRelation("Customers")
+	r, err := NewClient(url, schema.SysBeijing, nil).QueryRelation("Customers")
 	if err != nil {
 		t.Fatalf("latency fault must not fail the call: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestArtificialDelayCancellable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := NewClient(url, schema.SysBeijing).QueryContext(ctx, "Customers")
+	_, err := NewClient(url, schema.SysBeijing, nil).QueryContext(ctx, "Customers")
 	if err == nil {
 		t.Fatal("cancelled query succeeded")
 	}
@@ -123,7 +123,7 @@ func TestInjectedFaultDelayHonoursClientDeparture(t *testing.T) {
 	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := NewClient(url, schema.SysBeijing).QueryContext(ctx, "Customers"); err == nil {
+	if _, err := NewClient(url, schema.SysBeijing, nil).QueryContext(ctx, "Customers"); err == nil {
 		t.Fatal("cancelled query succeeded despite 30s injected spike")
 	}
 }

@@ -91,7 +91,7 @@ func TestLargeResultSetRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := NewClient(url, schema.SysBeijing).QueryRelation("Customers")
+	got, err := NewClient(url, schema.SysBeijing, nil).QueryRelation("Customers")
 	if err != nil {
 		t.Fatal(err)
 	}

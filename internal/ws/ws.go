@@ -273,12 +273,12 @@ type Client struct {
 }
 
 // NewClient creates a client for the named service at the registry's base
-// URL.
-func NewClient(baseURL, service string) *Client {
+// URL. Requests go through rt; nil means http.DefaultTransport.
+func NewClient(baseURL, service string, rt http.RoundTripper) *Client {
 	return &Client{
 		baseURL: baseURL,
 		service: strings.ToLower(service),
-		http:    &http.Client{Timeout: 30 * time.Second},
+		http:    &http.Client{Transport: rt, Timeout: 30 * time.Second},
 	}
 }
 

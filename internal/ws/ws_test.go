@@ -46,7 +46,7 @@ func seedCustomers(t *testing.T, db *rel.Database, n int) {
 func TestQueryReturnsResultSet(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	seedCustomers(t, svc.Database(), 5)
-	c := NewClient(url, schema.SysBeijing)
+	c := NewClient(url, schema.SysBeijing, nil)
 	got, err := c.QueryRelation("Customers")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestQueryReturnsResultSet(t *testing.T) {
 func TestQueryResultValidatesAgainstGenericXSD(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	seedCustomers(t, svc.Database(), 2)
-	doc, err := NewClient(url, schema.SysBeijing).Query("Customers")
+	doc, err := NewClient(url, schema.SysBeijing, nil).Query("Customers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestQueryResultValidatesAgainstGenericXSD(t *testing.T) {
 
 func TestUpdateBulkUpsert(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
-	c := NewClient(url, schema.SysBeijing)
+	c := NewClient(url, schema.SysBeijing, nil)
 	r := rel.MustRelation(schema.BeijingCustomer, []rel.Row{
 		{rel.NewInt(1), rel.NewString("A"), rel.NewString("x"), rel.NewString("Beijing"), rel.NewString("1")},
 		{rel.NewInt(2), rel.NewString("B"), rel.NewString("y"), rel.NewString("Beijing"), rel.NewString("2")},
@@ -114,7 +114,7 @@ func TestEntityMessageHandler(t *testing.T) {
 		return nil
 	})
 	msg := x.New("BJCustomer", x.NewText("Cust_ID", "7"))
-	if err := NewClient(url, schema.SysBeijing).Update(msg); err != nil {
+	if err := NewClient(url, schema.SysBeijing, nil).Update(msg); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -127,7 +127,7 @@ func TestEntityMessageHandler(t *testing.T) {
 func TestHandlerErrorSurfacesAsHTTPError(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	svc.HandleMessage("Boom", func(*x.Node) error { return fmt.Errorf("kaboom") })
-	err := NewClient(url, schema.SysBeijing).Update(x.New("Boom"))
+	err := NewClient(url, schema.SysBeijing, nil).Update(x.New("Boom"))
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("handler error: %v", err)
 	}
@@ -135,14 +135,14 @@ func TestHandlerErrorSurfacesAsHTTPError(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	_, _, url := startRegistry(t, 0)
-	c := NewClient(url, schema.SysBeijing)
+	c := NewClient(url, schema.SysBeijing, nil)
 	if _, err := c.Query("NoSuchTable"); err == nil {
 		t.Error("query missing table")
 	}
 	if err := c.Update(x.New("UnknownMessage")); err == nil {
 		t.Error("unregistered message")
 	}
-	if _, err := NewClient(url, "atlantis").Query("Customers"); err == nil {
+	if _, err := NewClient(url, "atlantis", nil).Query("Customers"); err == nil {
 		t.Error("unknown service")
 	}
 	bad := rel.MustRelation(rel.MustSchema([]rel.Column{rel.Col("X", rel.TypeInt)}), nil)
@@ -167,10 +167,10 @@ func TestMultipleServicesOneRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Stop()
-	if _, err := NewClient(url, schema.SysBeijing).QueryRelation("Customers"); err != nil {
+	if _, err := NewClient(url, schema.SysBeijing, nil).QueryRelation("Customers"); err != nil {
 		t.Errorf("beijing: %v", err)
 	}
-	se, err := NewClient(url, schema.SysSeoul).QueryRelation("Customers")
+	se, err := NewClient(url, schema.SysSeoul, nil).QueryRelation("Customers")
 	if err != nil {
 		t.Errorf("seoul: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestMultipleServicesOneRegistry(t *testing.T) {
 
 func TestArtificialDelayCharged(t *testing.T) {
 	_, _, url := startRegistry(t, 3*time.Millisecond)
-	c := NewClient(url, schema.SysBeijing)
+	c := NewClient(url, schema.SysBeijing, nil)
 	start := time.Now()
 	_, _ = c.QueryRelation("Customers")
 	if time.Since(start) < 3*time.Millisecond {
@@ -192,7 +192,7 @@ func TestArtificialDelayCharged(t *testing.T) {
 func TestCaseInsensitiveServiceNames(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	seedCustomers(t, svc.Database(), 1)
-	if _, err := NewClient(url, "beijing").QueryRelation("Customers"); err != nil {
+	if _, err := NewClient(url, "beijing", nil).QueryRelation("Customers"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,7 +206,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := NewClient(url, schema.SysBeijing)
+			c := NewClient(url, schema.SysBeijing, nil)
 			r, err := c.QueryRelation("Customers")
 			if err != nil {
 				errs <- err
